@@ -2,28 +2,22 @@
 
 The simulator's *virtual* times are backend-invariant by construction
 (``repro.core.backend``); this module measures the *real* time the
-simulation itself takes — the quantity the execution-backend layer and
-the zero-copy operator work exist to improve.  It times ``enact()`` for
-all six primitives at several GPU counts on fixed RMAT and road inputs,
-under three configurations:
+simulation itself takes — the quantity the execution-backend layer
+exists to improve.  It times ``enact()`` for all six primitives at
+several GPU counts on fixed RMAT and road inputs, under these
+configurations:
 
-* ``serial`` — serial dispatch, workspace arenas on (the new default);
-* ``threads`` — thread-pool dispatch, workspace arenas on;
+* ``serial`` — serial dispatch (the default);
+* ``threads`` — thread-pool dispatch;
 * ``processes`` — forked worker pool with shared-memory slices
   (``repro.core.shm``); the only backend that escapes the GIL for the
   Python-level hook code, so the per-core scaling story lives here
   (``speedup_processes`` and ``efficiency_per_worker`` per case);
-* ``serial_kernels`` — serial dispatch with the compiled hot-loop
-  kernels enabled (``repro.core.kernels``); on hosts without Numba this
-  times the NumPy fallback (~= ``serial``) and the recorded
-  ``host.kernels.backend`` says which one ran;
 * ``processes_supervised`` — the processes backend wrapped in the
   worker supervisor (``repro.core.supervise``): heartbeats, bounded
   waits, and crash/hang detection armed but no faults injected, so the
   per-case ``supervision_overhead`` ratio against plain ``processes``
   is the price of the safety net on the happy path (gated at 1.05x);
-* ``serial_noworkspace`` — serial dispatch, workspace arenas off (the
-  pre-optimization allocation-churn baseline);
 * ``serial_traced`` — serial dispatch with a live ``obs.Tracer``
   attached, measuring the *enabled* cost of the observability layer
   (``overhead_traced`` per case).  The *disabled* cost is the plain
@@ -45,8 +39,7 @@ backends can only overlap supersteps across *cores*, so on a 1-core
 host ``speedup_threads``/``speedup_processes`` ~ 1.0 is expected and
 the CI regression gates for them report ``skipped: 1-core host`` —
 explicitly, in the gate output and the JSON ``gates`` block — instead
-of vacuously passing.  ``speedup_workspace`` and ``speedup_kernels``
-measure per-operator wins and are host-parallelism independent.
+of vacuously passing.
 
 Run it as ``python -m repro bench`` (see ``--help``); CI runs the
 ``--smoke`` variant.  Results are written as JSON (``BENCH_2.json`` at
@@ -71,28 +64,21 @@ __all__ = ["run_bench", "BENCH_PRIMITIVES", "DEFAULT_GPU_COUNTS"]
 BENCH_PRIMITIVES = ("bfs", "dobfs", "sssp", "cc", "bc", "pr")
 DEFAULT_GPU_COUNTS = (1, 2, 4)
 
-#: measurement variants: name -> Enactor kwargs (``traced``,
-#: ``kernels`` and ``recorded`` are harness sentinels popped by
-#: ``_time_variant``, not Enactor parameters).  Order matters: each
-#: overhead ratio (recorded/serial, traced/serial, supervised/processes,
+#: measurement variants: name -> Enactor kwargs (``traced`` and
+#: ``recorded`` are harness sentinels popped by ``_time_variant``, not
+#: Enactor parameters).  Order matters: each overhead ratio
+#: (recorded/serial, traced/serial, supervised/processes,
 #: traced-processes/processes) compares variants measured back to back,
 #: so slow host drift — CPU frequency, noisy CI neighbours — cancels
 #: out of the tight 1.05x gates instead of masquerading as overhead.
 _VARIANTS = {
-    "serial": {"backend": "serial", "use_workspace": True},
-    "serial_recorded": {"backend": "serial", "use_workspace": True,
-                        "recorded": True},
-    "serial_traced": {"backend": "serial", "use_workspace": True,
-                      "traced": True},
-    "serial_noworkspace": {"backend": "serial", "use_workspace": False},
-    "serial_kernels": {"backend": "serial", "use_workspace": True,
-                       "kernels": True},
-    "threads": {"backend": "threads", "use_workspace": True},
-    "processes": {"backend": "processes", "use_workspace": True},
-    "processes_supervised": {"backend": "processes", "use_workspace": True,
-                             "supervise": True},
-    "processes_traced": {"backend": "processes", "use_workspace": True,
-                         "traced": True},
+    "serial": {"backend": "serial"},
+    "serial_recorded": {"backend": "serial", "recorded": True},
+    "serial_traced": {"backend": "serial", "traced": True},
+    "threads": {"backend": "threads"},
+    "processes": {"backend": "processes"},
+    "processes_supervised": {"backend": "processes", "supervise": True},
+    "processes_traced": {"backend": "processes", "traced": True},
 }
 
 
@@ -164,7 +150,7 @@ def _time_variant(
     primitive: str, graph, num_gpus: int, repeats: int, **enactor_kwargs
 ):
     """Median wall-clock ms of ``enact()`` (after one warmup run), plus
-    the run's supersteps and the workspace arenas' counters."""
+    the run's supersteps."""
     machine = Machine(num_gpus)
     tracer = None
     if enactor_kwargs.pop("traced", False):
@@ -178,46 +164,24 @@ def _time_variant(
 
         recorder = FlightRecorder()
         enactor_kwargs["flight_recorder"] = recorder
-    use_kernels = enactor_kwargs.pop("kernels", False)
-    if use_kernels:
-        from .core import kernels
-
-        kernels.enable()  # warmup run below absorbs JIT compilation
-    try:
-        enactor, enact_kwargs = _make_enactor(
-            primitive, graph, machine, **enactor_kwargs
-        )
-        metrics = enactor.enact(**enact_kwargs)  # warmup: arenas grow here
-        for ws in enactor.workspaces:
-            if ws is not None:
-                ws.reset_counters()
-        samples = []
-        for _ in range(repeats):
-            if tracer is not None:
-                tracer.clear()  # steady-state tracing cost, bounded memory
-            if recorder is not None:
-                recorder.clear()  # steady-state ring cost, bounded memory
-            t0 = time.perf_counter()
-            metrics = enactor.enact(**enact_kwargs)
-            samples.append((time.perf_counter() - t0) * 1e3)
-        workspace = None
-        if any(ws is not None for ws in enactor.workspaces):
-            workspace = {
-                "takes": sum(ws.takes for ws in enactor.workspaces if ws),
-                "grows": sum(ws.grows for ws in enactor.workspaces if ws),
-                "nbytes": sum(ws.nbytes for ws in enactor.workspaces if ws),
-            }
-        enactor.close()
-    finally:
-        if use_kernels:
-            from .core import kernels
-
-            kernels.disable()
+    enactor, enact_kwargs = _make_enactor(
+        primitive, graph, machine, **enactor_kwargs
+    )
+    metrics = enactor.enact(**enact_kwargs)  # warmup
+    samples = []
+    for _ in range(repeats):
+        if tracer is not None:
+            tracer.clear()  # steady-state tracing cost, bounded memory
+        if recorder is not None:
+            recorder.clear()  # steady-state ring cost, bounded memory
+        t0 = time.perf_counter()
+        metrics = enactor.enact(**enact_kwargs)
+        samples.append((time.perf_counter() - t0) * 1e3)
+    enactor.close()
     return {
         "median_ms": statistics.median(samples),
         "min_ms": min(samples),
         "supersteps": metrics.supersteps,
-        "workspace": workspace,
     }
 
 
@@ -256,15 +220,11 @@ def run_bench(
                 thr = case["variants"]["threads"]["median_ms"]
                 prc = case["variants"]["processes"]["median_ms"]
                 sup = case["variants"]["processes_supervised"]["median_ms"]
-                krn = case["variants"]["serial_kernels"]["median_ms"]
-                nws = case["variants"]["serial_noworkspace"]["median_ms"]
                 trd = case["variants"]["serial_traced"]["median_ms"]
                 rec = case["variants"]["serial_recorded"]["median_ms"]
                 ptr = case["variants"]["processes_traced"]["median_ms"]
                 case["speedup_threads"] = ser / thr if thr else 0.0
                 case["speedup_processes"] = ser / prc if prc else 0.0
-                case["speedup_kernels"] = ser / krn if krn else 0.0
-                case["speedup_workspace"] = nws / ser if ser else 0.0
                 case["overhead_traced"] = trd / ser if ser else 0.0
                 case["overhead_recorded"] = rec / ser if ser else 0.0
                 case["overhead_traced_processes"] = (
@@ -279,21 +239,12 @@ def run_bench(
                     case["speedup_processes"] / workers
                 )
                 cases.append(case)
-    from .core import kernels
-
-    # record the layer the serial_kernels variant actually ran with
-    # (enable() is idempotent and cheap; compilation is lazy)
-    was_enabled = kernels.is_enabled()
-    kernel_status = kernels.enable()
-    if not was_enabled:
-        kernels.disable()
     result = {
-        "schema": "repro-bench-5",
+        "schema": "repro-bench-6",
         "host": {
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
             "python": platform.python_version(),
-            "kernels": kernel_status,
         },
         "config": {
             "rmat_scale": rmat_scale,
@@ -312,9 +263,7 @@ def run_bench(
             "gates for them report 'skipped: 1-core host' rather than "
             "vacuously passing). efficiency_per_worker divides "
             "speedup_processes by min(gpus, cpu_count). "
-            "speedup_workspace (zero-copy/arena win) and speedup_kernels "
-            "(compiled hot loops; ~1.0 on the numpy fallback) are "
-            "host-parallelism independent. supervision_overhead is the "
+            "supervision_overhead is the "
             "no-fault cost of the worker supervisor relative to the "
             "plain processes backend (heartbeat threads + bounded "
             "waits + shm checksums), gated at 1.05x. overhead_recorded "

@@ -14,7 +14,7 @@ Commands
     Speedup sweep of one primitive over GPU counts.
 ``bench``
     Wall-clock benchmark of the execution backends (serial vs threads vs
-    workspace-off); writes ``BENCH_2.json`` (``docs/performance.md``).
+    processes); writes ``BENCH_2.json`` (``docs/performance.md``).
 ``check``
     Static framework-contract linter (``docs/static_analysis.md``); add
     ``--sanitize`` to ``run`` for the dynamic BSP race sanitizer.
@@ -96,10 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS", default=None,
                      help="minimum superstep deadline in seconds "
                           "(default: 10)")
-    run.add_argument("--kernels", action="store_true",
-                     help="enable the compiled hot-loop kernels "
-                          "(Numba njit; falls back to the interpreted "
-                          "NumPy operators when Numba is absent)")
     run.add_argument("--faults", metavar="PLAN.json",
                      help="arm a fault plan (see repro.sim.faults."
                           "FaultPlan) before the run")
@@ -144,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="wall-clock benchmark of the execution backends "
-             "(serial vs threads vs processes vs compiled kernels)",
+             "(serial vs threads vs processes)",
     )
     bench.add_argument("--out", default="BENCH_2.json",
                        help="output JSON path (default: BENCH_2.json)")
@@ -344,11 +340,6 @@ def _run_once(args, graph, scale, num_gpus, out=None, tracer=None,
 
 
 def _cmd_run(args, out) -> int:
-    if getattr(args, "kernels", False):
-        from .core import kernels
-
-        st = kernels.enable()
-        print(f"kernels: {st['backend']}", file=sys.stderr)
     graph, scale = _prepare(args)
     tracer = None
     writer = None
@@ -530,12 +521,9 @@ def _cmd_bench(args, out) -> int:
             f"{c['variants']['serial']['median_ms']:.2f}",
             f"{c['variants']['threads']['median_ms']:.2f}",
             f"{c['variants']['processes']['median_ms']:.2f}",
-            f"{c['variants']['serial_kernels']['median_ms']:.2f}",
             f"{c['speedup_threads']:.2f}x",
             f"{c['speedup_processes']:.2f}x",
             f"{c['efficiency_per_worker']:.2f}",
-            f"{c['speedup_kernels']:.2f}x",
-            f"{c['speedup_workspace']:.2f}x",
             f"{c['overhead_traced']:.2f}x",
             f"{c['overhead_traced_processes']:.2f}x",
             f"{c['overhead_recorded']:.2f}x",
@@ -543,17 +531,14 @@ def _cmd_bench(args, out) -> int:
         ]
         for c in result["cases"]
     ]
-    kern = result["host"]["kernels"]["backend"]
     print(
         render_table(
             ["dataset", "primitive", "GPUs", "serial ms", "threads ms",
-             "procs ms", "kernels ms", "thr. x", "proc x", "eff/worker",
-             "kern x", "ws x", "trace cost", "ptrace cost", "rec cost",
-             "sup cost"],
+             "procs ms", "thr. x", "proc x", "eff/worker",
+             "trace cost", "ptrace cost", "rec cost", "sup cost"],
             rows,
             title=f"enact() wall-clock "
-                  f"(host cores: {result['host']['cpu_count']}, "
-                  f"kernels: {kern})",
+                  f"(host cores: {result['host']['cpu_count']})",
         ),
         file=out,
     )

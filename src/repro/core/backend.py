@@ -11,7 +11,7 @@ pluggable policy:
   calling thread (the original behaviour; zero overhead, easiest to
   debug);
 * :class:`ThreadsBackend` — run them on a persistent worker pool.  The
-  NumPy kernels that dominate a superstep release the GIL, so per-GPU
+  NumPy calls that dominate a superstep release the GIL, so per-GPU
   work overlaps on a multi-core host — but anything interpreter-bound
   stays GIL-serialized;
 * :class:`ProcessesBackend` — one persistent forked worker per virtual
@@ -27,8 +27,8 @@ pluggable policy:
 **Determinism contract.**  A backend only chooses *where* each superstep
 runs; it must return the results in GPU-index order.  The enactor keeps
 every backend bit-identical by construction: each per-GPU superstep
-touches only its own GPU's state (streams, memory pool, data slice,
-workspace) and *stages* every cross-GPU effect — outgoing messages,
+touches only its own GPU's state (streams, memory pool, data slice)
+and *stages* every cross-GPU effect — outgoing messages,
 metrics-record entries, interconnect traffic — in a
 :class:`GpuStepEffects`, which the enactor merges in GPU-index order at
 the barrier.  Serial, threaded, and forked runs execute the same
@@ -39,8 +39,8 @@ reports are identical bit for bit (asserted in
 
 **Worker affinity.**  The processes backend pins each GPU to one worker
 for the pool's lifetime, so per-GPU private mutable state (streams,
-pools, workspace arenas, operator caches) evolves in exactly one
-address space between barriers.  Workers are re-forked at the start of
+pools, operator caches) evolves in exactly one address space between
+barriers.  Workers are re-forked at the start of
 every run and after any rollback/repartition (:meth:`begin_run` /
 :meth:`invalidate`), which is also when the shared-memory manifest is
 (re)built.
@@ -276,8 +276,7 @@ def _worker_loop(conn, enactor, iteration_obj, gpu_ids, manifest,
     """Body of one forked worker: serve superstep requests until "stop".
 
     The worker owns ``gpu_ids`` for the pool's lifetime (GPU affinity:
-    per-GPU mutable state — streams, pools, workspace arenas, operator
-    caches — evolves only here between barriers).  Slice arrays are
+    per-GPU mutable state — streams, pools, operator caches — evolves only here between barriers).  Slice arrays are
     re-attached through the shared-memory registry by *name*, proving
     the manifest layer; CSR segments are reached through the inherited
     fork mappings, which alias the same physical pages.

@@ -61,7 +61,6 @@ from .frontier import Frontier
 from .iteration import GpuContext, IterationBase
 from .problem import ProblemBase
 from .stats import OpStats
-from .workspace import Workspace
 
 __all__ = ["Enactor"]
 
@@ -131,11 +130,6 @@ class Enactor:
         times, and sanitizer reports are bit-identical across backends —
         every cross-GPU effect is staged per worker and merged in
         GPU-index order at the barrier.
-    use_workspace:
-        Give each virtual GPU a scratch :class:`Workspace` arena that
-        operators reuse across calls instead of allocating fresh
-        temporaries.  On by default; the bench harness turns it off to
-        measure the allocation-churn baseline.
     checkpoint_every:
         Take a barrier checkpoint every N supersteps (docs/robustness.md).
         ``None`` disables periodic checkpoints; a baseline checkpoint is
@@ -214,7 +208,6 @@ class Enactor:
         overlap_communication: bool = False,
         sanitize: bool = False,
         backend: Union[str, ExecutionBackend, None] = "serial",
-        use_workspace: bool = True,
         checkpoint_every: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
         recovery: Optional[RecoveryPolicy] = None,
@@ -279,9 +272,6 @@ class Enactor:
             self.supervisor.tracer = tracer
             self.supervisor.recorder = flight_recorder
             self.backend.supervisor = self.supervisor
-        self.workspaces: List[Optional[Workspace]] = [
-            Workspace(i) if use_workspace else None for i in range(n)
-        ]
         self.relaxed_barriers = relaxed_barriers
         self.combiner_certificates: dict = {}
         self.schedule_certificate = None
@@ -531,7 +521,7 @@ class Enactor:
         """One GPU's full superstep: combine → core → split/package/push.
 
         Touches only GPU ``i``'s private state — its streams, memory
-        pool, data slice, frontier buffers, and workspace — and *stages*
+        pool, data slice, and frontier buffers — and *stages*
         every cross-GPU effect (outgoing messages, record entries,
         interconnect traffic) in the returned :class:`GpuStepEffects`.
         That makes it safe for the ``threads`` backend to run n of these
@@ -554,7 +544,6 @@ class Enactor:
             fused=self.scheme.fused,
             iteration=iteration,
             num_gpus=n,
-            workspace=self.workspaces[i],
             tracer=tracer,
         )
         if sanitizer is not None:

@@ -16,90 +16,27 @@ Both return real arrays (correctness) plus an :class:`OpStats`
 (cost-model input).  All segment processing is vectorized; the pull-mode
 first-hit search uses ``np.minimum.reduceat`` over masked positions.
 
-Hot-path allocation discipline: CSR structure is indexed through the
-graph's cached int64 views (``csr.offsets64``/``csr.cols64`` — no per-call
-``astype`` copy), and when the caller passes a per-GPU
-:class:`~repro.core.workspace.Workspace` the edge-length scratch
-(flattened edge indices, gathered neighbor lists, pull-scan masks) is
-written into reused arena buffers instead of fresh allocations.  The
-``ws is None`` branches keep the allocating fallback for detached callers
-(baselines, unit tests); results are bit-identical either way.
+CSR structure is indexed through the graph's cached int64 views
+(``csr.offsets64``/``csr.cols64``), so no call pays a per-call
+``astype`` copy.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ...graph.csr import CsrGraph
-from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
-from ..workspace import Workspace
 
 __all__ = ["gather_neighbors", "advance_push", "advance_pull"]
 
 _BIG = np.iinfo(np.int64).max
 
 
-def _push_stats(nf: int, edges: int, ids_bytes: int, size_bytes: int) -> OpStats:
-    """The push-advance cost model, shared by the interpreted and
-    compiled paths (and by the fused operator) so stats stay
-    bit-identical no matter which computed the arrays."""
-    return OpStats(
-        name="advance",
-        input_size=nf,
-        output_size=edges,
-        edges_visited=edges,
-        vertices_processed=nf,
-        launches=1,
-        streaming_bytes=(nf + edges) * ids_bytes,
-        random_bytes=2 * nf * size_bytes
-        + edges * (ids_bytes + 0.75 * size_bytes),
-    )
-
-
-def _pull_stats_empty(n_candidates: int, ids_bytes: int) -> OpStats:
-    return OpStats(
-        name="advance-pull",
-        input_size=n_candidates,
-        vertices_processed=n_candidates,
-        launches=1,
-        streaming_bytes=n_candidates * ids_bytes,
-        random_bytes=2 * n_candidates * ids_bytes,
-    )
-
-
-def _pull_stats(
-    n_candidates: int,
-    n_discovered: int,
-    edges_scanned: int,
-    ids_bytes: int,
-    size_bytes: int,
-) -> OpStats:
-    return OpStats(
-        name="advance-pull",
-        input_size=n_candidates,
-        output_size=n_discovered,
-        edges_visited=edges_scanned,
-        vertices_processed=n_candidates,
-        launches=1,
-        streaming_bytes=(n_candidates + n_discovered) * ids_bytes,
-        random_bytes=2 * n_candidates * size_bytes
-        + edges_scanned * (ids_bytes + 0.75 * size_bytes + 1),
-    )
-
-
-def _frontier64(frontier: np.ndarray) -> np.ndarray:
-    """The frontier as int64, without copying already-converted input."""
-    frontier = np.asarray(frontier)
-    if frontier.dtype == np.int64:
-        return frontier
-    return frontier.astype(np.int64)
-
-
 def gather_neighbors(
-    csr: CsrGraph, frontier: np.ndarray, ws: Optional[Workspace] = None
+    csr: CsrGraph, frontier: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather all out-neighbors of ``frontier``.
 
@@ -107,15 +44,8 @@ def gather_neighbors(
     to the total degree of the frontier.  ``sources[k]`` is the frontier
     vertex whose edge produced ``neighbors[k]`` and ``edge_indices[k]`` is
     that edge's position in ``csr.col_indices`` (for weight lookup).
-
-    With a workspace, ``neighbors`` and ``edge_indices`` are views into
-    the arena — valid until the next gather on the same GPU; callers must
-    consume them within the operator call chain.
     """
-    frontier = _frontier64(frontier)
-    kernels = _kernels_active()
-    if kernels is not None and _plain(frontier):
-        return kernels.gather(csr.offsets64, csr.cols64, frontier)
+    frontier = np.asarray(frontier, dtype=np.int64)
     offsets = csr.offsets64
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
@@ -125,15 +55,8 @@ def gather_neighbors(
         return empty, empty.copy(), empty.copy()
     # flattened edge indices: repeat(start - exclusive_prefix) + arange
     seg_base = np.repeat(starts + counts - np.cumsum(counts), counts)
-    if ws is None:
-        edge_idx = seg_base + np.arange(total, dtype=np.int64)
-        neighbors = csr.cols64[edge_idx]
-    else:
-        edge_idx = ws.take("advance.edge_idx", total, np.int64)
-        np.add(seg_base, ws.iota(total), out=edge_idx)
-        neighbors = np.take(
-            csr.cols64, edge_idx, out=ws.take("advance.neighbors", total, np.int64)
-        )
+    edge_idx = seg_base + np.arange(total, dtype=np.int64)
+    neighbors = csr.cols64[edge_idx]
     sources = np.repeat(frontier, counts)
     return neighbors, sources, edge_idx
 
@@ -142,7 +65,6 @@ def advance_push(
     csr: CsrGraph,
     frontier: np.ndarray,
     ids_bytes: int = 4,
-    ws: Optional[Workspace] = None,
     tracer=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, OpStats]:
     """Per-edge parallel advance (the standard forward traversal).
@@ -159,10 +81,21 @@ def advance_push(
     per-operator profile; it never changes results.
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
-    neighbors, sources, edge_idx = gather_neighbors(csr, frontier, ws=ws)
+    neighbors, sources, edge_idx = gather_neighbors(csr, frontier)
     edges = int(neighbors.size)
     nf = int(np.asarray(frontier).size)
-    stats = _push_stats(nf, edges, ids_bytes, csr.ids.size_bytes)
+    size_bytes = csr.ids.size_bytes
+    stats = OpStats(
+        name="advance",
+        input_size=nf,
+        output_size=edges,
+        edges_visited=edges,
+        vertices_processed=nf,
+        launches=1,
+        streaming_bytes=(nf + edges) * ids_bytes,
+        random_bytes=2 * nf * size_bytes
+        + edges * (ids_bytes + 0.75 * size_bytes),
+    )
     if tracer is not None:
         tracer.op_wall_sample("advance", tracer.wall() - _wall0)
     return neighbors, sources, edge_idx, stats
@@ -173,7 +106,6 @@ def advance_pull(
     candidates: np.ndarray,
     in_frontier: np.ndarray,
     ids_bytes: int = 4,
-    ws: Optional[Workspace] = None,
     tracer=None,
 ) -> Tuple[np.ndarray, np.ndarray, OpStats]:
     """Per-vertex pull advance with edge skipping (Section VI-A).
@@ -188,8 +120,6 @@ def advance_pull(
         Vertices looking for a parent (the unvisited set).
     in_frontier:
         Boolean mask over vertices: membership in the current frontier.
-    ws:
-        Optional per-GPU scratch arena for the edge-length temporaries.
 
     Returns
     -------
@@ -201,22 +131,7 @@ def advance_pull(
         the entire point of direction-optimization.
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
-    candidates = _frontier64(candidates)
-    kernels = _kernels_active()
-    if kernels is not None and _plain(candidates, in_frontier):
-        discovered, parents, edges_scanned, total = kernels.pull(
-            csr.offsets64, csr.cols64, candidates, in_frontier
-        )
-        if total == 0:
-            stats = _pull_stats_empty(int(candidates.size), ids_bytes)
-        else:
-            stats = _pull_stats(
-                int(candidates.size), int(discovered.size),
-                int(edges_scanned), ids_bytes, csr.ids.size_bytes,
-            )
-        if tracer is not None:
-            tracer.op_wall_sample("advance-pull", tracer.wall() - _wall0)
-        return discovered, parents, stats
+    candidates = np.asarray(candidates, dtype=np.int64)
     offsets = csr.offsets64
     starts = offsets[candidates]
     counts = offsets[candidates + 1] - starts
@@ -227,7 +142,15 @@ def advance_pull(
     total = int(counts_nz.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
-        stats = _pull_stats_empty(int(candidates.size), ids_bytes)
+        n_cand = int(candidates.size)
+        stats = OpStats(
+            name="advance-pull",
+            input_size=n_cand,
+            vertices_processed=n_cand,
+            launches=1,
+            streaming_bytes=n_cand * ids_bytes,
+            random_bytes=2 * n_cand * ids_bytes,
+        )
         if tracer is not None:
             tracer.op_wall_sample("advance-pull", tracer.wall() - _wall0)
         return empty, empty.copy(), stats
@@ -235,29 +158,12 @@ def advance_pull(
     seg_starts = np.concatenate([[0], np.cumsum(counts_nz)[:-1]])
     seg_base = np.repeat(starts_nz - seg_starts, counts_nz)
     pos_base = np.repeat(seg_starts, counts_nz)
-    if ws is None:
-        edge_idx = seg_base + np.arange(total, dtype=np.int64)
-        neighbors = csr.cols64[edge_idx]
-        hit = in_frontier[neighbors]
-        # position of each slot within its segment; masked to BIG where
-        # no hit
-        pos = np.arange(total, dtype=np.int64) - pos_base
-        masked = np.where(hit, pos, _BIG)
-    else:
-        iota = ws.iota(total)
-        edge_idx = ws.take("pull.edge_idx", total, np.int64)
-        np.add(seg_base, iota, out=edge_idx)
-        neighbors = np.take(
-            csr.cols64, edge_idx, out=ws.take("pull.neighbors", total, np.int64)
-        )
-        hit = np.take(
-            in_frontier, neighbors, out=ws.take("pull.hit", total, bool)
-        )
-        pos = ws.take("pull.pos", total, np.int64)
-        np.subtract(iota, pos_base, out=pos)
-        masked = ws.take("pull.masked", total, np.int64)
-        masked.fill(_BIG)
-        np.copyto(masked, pos, where=hit)
+    edge_idx = seg_base + np.arange(total, dtype=np.int64)
+    neighbors = csr.cols64[edge_idx]
+    hit = in_frontier[neighbors]
+    # position of each slot within its segment; masked to BIG where no hit
+    pos = np.arange(total, dtype=np.int64) - pos_base
+    masked = np.where(hit, pos, _BIG)
     first_hit = np.minimum.reduceat(masked, seg_starts)
     found = first_hit != _BIG
     discovered = cand[found]
@@ -265,9 +171,18 @@ def advance_pull(
     # edges scanned: first_hit+1 where found, full degree otherwise
     scanned = np.where(found, first_hit + 1, counts_nz)
     edges_scanned = int(scanned.sum())
-    stats = _pull_stats(
-        int(candidates.size), int(discovered.size), edges_scanned,
-        ids_bytes, csr.ids.size_bytes,
+    n_cand, n_disc = int(candidates.size), int(discovered.size)
+    size_bytes = csr.ids.size_bytes
+    stats = OpStats(
+        name="advance-pull",
+        input_size=n_cand,
+        output_size=n_disc,
+        edges_visited=edges_scanned,
+        vertices_processed=n_cand,
+        launches=1,
+        streaming_bytes=(n_cand + n_disc) * ids_bytes,
+        random_bytes=2 * n_cand * size_bytes
+        + edges_scanned * (ids_bytes + 0.75 * size_bytes + 1),
     )
     if tracer is not None:
         tracer.op_wall_sample("advance-pull", tracer.wall() - _wall0)

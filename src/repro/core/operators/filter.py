@@ -13,25 +13,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
 
 __all__ = ["filter_predicate", "filter_unvisited", "unique_vertices"]
-
-
-def _unvisited_stats(n_in: int, n_out: int, ids_bytes: int) -> OpStats:
-    """The unvisited-filter cost model, shared by the interpreted and
-    compiled paths and by the fused operator."""
-    return OpStats(
-        name="filter",
-        input_size=n_in,
-        output_size=n_out,
-        vertices_processed=n_in,
-        launches=1,
-        streaming_bytes=(n_in + n_out) * ids_bytes,
-        random_bytes=n_in * ids_bytes,
-        atomic_ops=float(n_out),
-    )
 
 
 def filter_predicate(
@@ -81,16 +65,21 @@ def filter_unvisited(
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
     candidates = np.asarray(candidates, dtype=np.int64)
-    kernels = _kernels_active()
     if candidates.size:
-        if kernels is not None and _plain(candidates, labels):
-            out = kernels.filter_unvisited(candidates, labels, invalid_label)
-        else:
-            unvisited = candidates[labels[candidates] == invalid_label]
-            out = np.unique(unvisited)
+        out = np.unique(candidates[labels[candidates] == invalid_label])
     else:
         out = candidates
-    stats = _unvisited_stats(int(candidates.size), int(out.size), ids_bytes)
+    n_in, n_out = int(candidates.size), int(out.size)
+    stats = OpStats(
+        name="filter",
+        input_size=n_in,
+        output_size=n_out,
+        vertices_processed=n_in,
+        launches=1,
+        streaming_bytes=(n_in + n_out) * ids_bytes,
+        random_bytes=n_in * ids_bytes,
+        atomic_ops=float(n_out),
+    )
     if tracer is not None:
         tracer.op_wall_sample("filter", tracer.wall() - _wall0)
     return out, stats

@@ -17,16 +17,14 @@ The unfused path must materialize the advance output (the enactor sizes an
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ...graph.csr import CsrGraph
-from ..kernels import active as _kernels_active, plain_arrays as _plain
 from ..stats import OpStats
-from ..workspace import Workspace
-from .advance import _frontier64, _push_stats, advance_push
-from .filter import _unvisited_stats, filter_unvisited
+from .advance import advance_push
+from .filter import filter_unvisited
 
 __all__ = ["fused_advance_filter", "first_witness"]
 
@@ -57,7 +55,6 @@ def fused_advance_filter(
     labels: np.ndarray,
     invalid_label,
     ids_bytes: int = 4,
-    ws: Optional[Workspace] = None,
     tracer=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, OpStats]:
     """Advance then unvisited-filter as one fused kernel.
@@ -71,31 +68,8 @@ def fused_advance_filter(
     # the inner calls are NOT traced individually: one fused kernel means
     # one wall-clock sample under the fused name
     _wall0 = tracer.wall() if tracer is not None else 0.0
-    kernels = _kernels_active()
-    if kernels is not None and _plain(labels):
-        frontier = _frontier64(frontier)
-        if _plain(frontier):
-            survivors, w_sources, w_edges, edges = kernels.fused(
-                csr.offsets64, csr.cols64, frontier, labels, invalid_label
-            )
-            a_stats = _push_stats(
-                int(frontier.size), int(edges), ids_bytes, csr.ids.size_bytes
-            )
-            f_stats = _unvisited_stats(
-                int(edges), int(survivors.size), ids_bytes
-            )
-            stats = a_stats.merged_with(f_stats, fused=True)
-            stats.name = "advance+filter(fused)"
-            stats.streaming_bytes = max(
-                0.0, stats.streaming_bytes - 2 * int(edges) * ids_bytes
-            )
-            if tracer is not None:
-                tracer.op_wall_sample(
-                    "advance+filter(fused)", tracer.wall() - _wall0
-                )
-            return survivors, w_sources, w_edges, stats
     neighbors, sources, edge_idx, a_stats = advance_push(
-        csr, frontier, ids_bytes=ids_bytes, ws=ws
+        csr, frontier, ids_bytes=ids_bytes
     )
     survivors, f_stats = filter_unvisited(
         neighbors, labels, invalid_label, ids_bytes=ids_bytes

@@ -108,8 +108,7 @@ class BCIteration(IterationBase):
             return np.empty(0, dtype=np.int64), []
         label_val = ctx.iteration + 1
         nbrs, srcs, eidx, a_stats = advance_push(
-            csr, frontier, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-            tracer=ctx.tracer,
+            csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
         )
         if nbrs.size == 0:
             return np.empty(0, dtype=np.int64), [a_stats]
@@ -154,8 +153,7 @@ class BCIteration(IterationBase):
         if cand.size == 0:
             return np.empty(0, dtype=np.int64), []
         nbrs, srcs, _eidx, a_stats = advance_push(
-            ctx.sub.csr, cand, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-            tracer=ctx.tracer,
+            ctx.sub.csr, cand, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
         )
         succ = labels[nbrs] == level + 1
         if np.any(succ):

@@ -97,13 +97,12 @@ class BFSIteration(IterationBase):
         if ctx.fused:
             survivors, w_src, _w_edge, stats = fused_advance_filter(
                 csr, frontier, labels, INVALID_LABEL,
-                ids_bytes=ctx.ids_bytes, ws=ctx.workspace, tracer=ctx.tracer,
+                ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
             )
             stats_list = [stats]
         else:
             nbrs, srcs, eidx, a_stats = advance_push(
-                csr, frontier, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-                tracer=ctx.tracer,
+                csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
             )
             survivors, f_stats = filter_unvisited(
                 nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,

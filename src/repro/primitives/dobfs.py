@@ -178,14 +178,12 @@ class DOBFSIteration(IterationBase):
             if ctx.fused:
                 survivors, w_src, _w, stats = fused_advance_filter(
                     csr, hosted, labels, INVALID_LABEL,
-                    ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-                    tracer=ctx.tracer,
+                    ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
                 )
                 stats_list.append(stats)
             else:
                 nbrs, srcs, eidx, a_stats = advance_push(
-                    csr, hosted, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-                    tracer=ctx.tracer,
+                    csr, hosted, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
                 )
                 survivors, f_stats = filter_unvisited(
                     nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
@@ -224,7 +222,7 @@ class DOBFSIteration(IterationBase):
             )
             survivors, parents, stats = advance_pull(
                 csr, candidates, bitmap, ids_bytes=ctx.ids_bytes,
-                ws=ctx.workspace, tracer=ctx.tracer,
+                tracer=ctx.tracer,
             )
             w_src = parents
             stats_list.append(stats)

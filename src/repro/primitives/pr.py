@@ -206,17 +206,7 @@ class PRIteration(IterationBase):
             seg_base = np.repeat(
                 offsets[pushers] + p_counts - np.cumsum(p_counts), p_counts
             )
-            ws = ctx.workspace
-            if ws is None:
-                edge_idx = seg_base + np.arange(total, dtype=np.int64)
-                nbrs = csr.cols64[edge_idx]
-            else:
-                edge_idx = ws.take("pr.edge_idx", total, np.int64)
-                np.add(seg_base, ws.iota(total), out=edge_idx)
-                nbrs = np.take(
-                    csr.cols64, edge_idx,
-                    out=ws.take("pr.nbrs", total, np.int64),
-                )
+            nbrs = csr.cols64[seg_base + np.arange(total, dtype=np.int64)]
             np.add.at(acc, nbrs, np.repeat(share, p_counts))
             stats.append(
                 OpStats(

@@ -95,8 +95,7 @@ class SSSPIteration(IterationBase):
         # a vertex may appear several times (local rediscovery + remote
         # updates); relax each copy — the GPU kernel does the same
         nbrs, srcs, eidx, a_stats = advance_push(
-            csr, frontier, ids_bytes=ctx.ids_bytes, ws=ctx.workspace,
-            tracer=ctx.tracer,
+            csr, frontier, ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
         )
         if nbrs.size == 0:
             return np.empty(0, dtype=np.int64), [a_stats]

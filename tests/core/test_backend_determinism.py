@@ -6,9 +6,7 @@ superstep and the same GPU-index-order merge of staged effects, so
 RunMetrics dict (virtual times, per-GPU records, traffic counters),
 sanitizer hazard reports, and tracer span streams — must match bit for
 bit across backends, for every primitive, GPU count, and communication
-mode (BFS/SSSP/BC are selective, DOBFS/CC/PR broadcast).  The same
-holds for the workspace arenas and the compiled-kernel layer: pure
-wall-clock optimizations that must not change any observable.
+mode (BFS/SSSP/BC are selective, DOBFS/CC/PR broadcast).
 
 The processes backend additionally must not leak: every test that forks
 workers asserts ``/dev/shm`` holds none of our segments afterwards.
@@ -20,7 +18,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import kernels
 from repro.core.backend import (
     ProcessesBackend,
     SerialBackend,
@@ -90,65 +87,6 @@ def test_processes_bit_identical_to_serial(
     np.testing.assert_array_equal(r_ser, r_prc)
     assert json.dumps(m_ser.to_dict()) == json.dumps(m_prc.to_dict())
     assert _shm_leaks() == []
-
-
-@pytest.mark.parametrize("primitive", sorted(RUNNERS))
-def test_kernels_bit_identical_to_interpreted(
-    primitive, small_rmat, weighted_rmat
-):
-    """The compiled-kernel layer (or its NumPy fallback when Numba is
-    absent — both paths must hold) changes nothing observable."""
-    graph = _graph_for(primitive, small_rmat, weighted_rmat)
-    r_off, m_off = _run(primitive, graph, 2, backend="serial")
-    kernels.enable()
-    try:
-        assert kernels.is_enabled()
-        r_on, m_on = _run(primitive, graph, 2, backend="serial")
-    finally:
-        kernels.disable()
-    np.testing.assert_array_equal(r_off, r_on)
-    assert json.dumps(m_off.to_dict()) == json.dumps(m_on.to_dict())
-
-
-def test_kernels_with_processes_backend(small_rmat):
-    """Kernels x processes compose: workers inherit the enablement
-    through fork and still reproduce the serial interpreted run."""
-    r_ser, m_ser = _run("bfs", small_rmat, 2, backend="serial")
-    kernels.enable()
-    try:
-        r_prc, m_prc = _run("bfs", small_rmat, 2, backend="processes")
-    finally:
-        kernels.disable()
-    np.testing.assert_array_equal(r_ser, r_prc)
-    assert json.dumps(m_ser.to_dict()) == json.dumps(m_prc.to_dict())
-    assert _shm_leaks() == []
-
-
-def test_kernels_status_reports_layer():
-    st = kernels.status()
-    assert st["enabled"] is False and st["backend"] == "off"
-    kernels.enable()
-    try:
-        st = kernels.status()
-        assert st["enabled"] is True
-        if kernels.HAVE_NUMBA:
-            assert st["backend"] == "numba"
-        else:
-            assert st["backend"] == "numpy-fallback"
-            assert "numba" in (st["error"] or "")
-    finally:
-        kernels.disable()
-
-
-@pytest.mark.parametrize("primitive", sorted(RUNNERS))
-def test_workspace_changes_no_observable(
-    primitive, small_rmat, weighted_rmat
-):
-    graph = _graph_for(primitive, small_rmat, weighted_rmat)
-    r_on, m_on = _run(primitive, graph, 2, use_workspace=True)
-    r_off, m_off = _run(primitive, graph, 2, use_workspace=False)
-    np.testing.assert_array_equal(r_on, r_off)
-    assert json.dumps(m_on.to_dict()) == json.dumps(m_off.to_dict())
 
 
 @pytest.mark.parametrize("backend", ["threads", "processes"])
