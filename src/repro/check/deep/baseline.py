@@ -6,7 +6,9 @@ finding is recorded by a **fingerprint** that survives unrelated edits:
 the SHA-1 of (normalized path | rule id | sorted extra context |
 message), truncated to 16 hex chars.  Line/column numbers are
 deliberately excluded — inserting a line above a baselined finding must
-not resurrect it.
+not resurrect it — and so are the ``(<function>:<line>)`` source
+positions some messages quote (REP117 names the hook line of each
+unsafe update).
 
 The committed baseline (``check_deep_baseline.json``) is loaded by
 ``repro check --deep --baseline <file>``; matching findings are
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Dict, Iterable, List, Tuple
 
 from ..findings import Finding
@@ -37,6 +40,9 @@ _BASELINE_VERSION = 1
 #: explored-state counters shift with any POR refinement, but the
 #: REP116/117 verdict they annotate is the same finding)
 _VOLATILE_EXTRA = frozenset({"mc_states", "mc_schedules", "mc_pruned"})
+
+#: a ``(<name>:<line>)`` source position quoted inside a message
+_POSITION = re.compile(r"\(([A-Za-z_][\w.]*):\d+\)")
 
 
 def _stable_path(path: str) -> str:
@@ -64,7 +70,7 @@ def fingerprint(finding: Finding) -> str:
         _stable_path(finding.path),
         finding.rule_id,
         extra,
-        finding.message,
+        _POSITION.sub(r"(\1)", finding.message),
     ])
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
 

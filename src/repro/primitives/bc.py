@@ -29,6 +29,7 @@ from ..core import combine
 from ..core.comm import BROADCAST, SELECTIVE, Message
 from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_push
+from ..core.operators.filter import sorted_unique
 from ..core.problem import DataSlice, ProblemBase
 from ..core.stats import OpStats
 from ..partition.duplication import DUPLICATE_ALL, SubGraph
@@ -113,7 +114,7 @@ class BCIteration(IterationBase):
         if nbrs.size == 0:
             return np.empty(0, dtype=np.int64), [a_stats]
         unvisited = labels[nbrs] == -1
-        survivors = np.unique(nbrs[unvisited])
+        survivors = sorted_unique(nbrs[unvisited])
         labels[survivors] = label_val
         # sigma accumulation along every shortest-path edge of this level
         on_level = labels[nbrs] == label_val

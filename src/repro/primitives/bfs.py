@@ -98,6 +98,7 @@ class BFSIteration(IterationBase):
             survivors, w_src, _w_edge, stats = fused_advance_filter(
                 csr, frontier, labels, INVALID_LABEL,
                 ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
+                witnesses=problem.mark_predecessors,
             )
             stats_list = [stats]
         else:
@@ -108,7 +109,9 @@ class BFSIteration(IterationBase):
                 nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
                 tracer=ctx.tracer,
             )
-            w_src, _w_edge = first_witness(nbrs, srcs, eidx, survivors)
+            w_src = None
+            if problem.mark_predecessors:
+                w_src, _w_edge = first_witness(nbrs, srcs, eidx, survivors)
             stats_list = [a_stats, f_stats]
         labels[survivors] = label_val
         if problem.mark_predecessors and survivors.size:

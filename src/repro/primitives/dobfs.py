@@ -179,6 +179,7 @@ class DOBFSIteration(IterationBase):
                 survivors, w_src, _w, stats = fused_advance_filter(
                     csr, hosted, labels, INVALID_LABEL,
                     ids_bytes=ctx.ids_bytes, tracer=ctx.tracer,
+                    witnesses=problem.mark_predecessors,
                 )
                 stats_list.append(stats)
             else:
@@ -189,7 +190,9 @@ class DOBFSIteration(IterationBase):
                     nbrs, labels, INVALID_LABEL, ids_bytes=ctx.ids_bytes,
                     tracer=ctx.tracer,
                 )
-                w_src, _w = first_witness(nbrs, srcs, eidx, survivors)
+                w_src = None
+                if problem.mark_predecessors:
+                    w_src, _w = first_witness(nbrs, srcs, eidx, survivors)
                 stats_list.extend([a_stats, f_stats])
         else:
             # backward (pull): unvisited *hosted* vertices look for a

@@ -27,6 +27,7 @@ from ..core import combine
 from ..core.comm import SELECTIVE, Message
 from ..core.iteration import GpuContext, IterationBase
 from ..core.operators.advance import advance_push
+from ..core.operators.filter import sorted_unique
 from ..core.problem import DataSlice, ProblemBase
 from ..core.stats import OpStats
 from ..errors import GraphFormatError
@@ -104,7 +105,7 @@ class SSSPIteration(IterationBase):
         old = dist[nbrs].copy()
         np.minimum.at(dist, nbrs, cand)
         improved_mask = dist[nbrs] < old
-        improved = np.unique(nbrs[improved_mask])
+        improved = sorted_unique(nbrs[improved_mask])
         relax_stats = OpStats(
             name="relax",
             input_size=int(nbrs.size),

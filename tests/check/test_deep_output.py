@@ -6,6 +6,7 @@ import pathlib
 
 import repro
 from repro.check import lint_paths
+from repro.check.findings import Finding
 from repro.check.deep import (
     DEEP_RULES,
     deep_analyze_paths,
@@ -84,6 +85,21 @@ class TestBaseline:
         assert [fingerprint(f) for f in a] == [
             fingerprint(f) for f in shifted
         ]
+
+    def test_fingerprint_ignores_quoted_source_positions(self):
+        # REP117 messages quote hook positions such as
+        # "(full_queue_core:106)"; moving the hook must not resurrect it
+        def rep117(hook, line):
+            return Finding(
+                rule_id="REP117", rule="relaxed-barrier-unsafe",
+                path="src/repro/primitives/sssp.py", line=line, col=0,
+                message=f"'dist' update ({hook}:{line}) is computed "
+                        "from {dist}",
+            )
+
+        moved = fingerprint(rep117("full_queue_core", 212))
+        assert fingerprint(rep117("full_queue_core", 105)) == moved
+        assert fingerprint(rep117("expand_incoming", 105)) != moved
 
     def test_fingerprint_is_path_root_stable(self):
         a = bad_findings("src/repro/primitives/bad.py")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.operators import (
     advance_pull,
@@ -13,10 +14,12 @@ from repro.core.operators import (
     gather_neighbors,
     segment_reduce_min,
     segment_reduce_sum,
+    sorted_unique,
     unique_vertices,
 )
 from repro.core.operators.fused import first_witness
 from repro.graph.build import from_edges
+from repro.graph.generators.rmat import generate_rmat
 
 
 @pytest.fixture
@@ -141,6 +144,21 @@ class TestFilters:
         out, st = unique_vertices(np.array([3, 1, 3, 2, 1]))
         assert out.tolist() == [1, 2, 3]
 
+    @given(
+        st.lists(st.integers(-5, 40), max_size=200),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    @example([], np.int64)
+    @example([], np.int32)
+    @example([7], np.int64)
+    @example([3, 3, 3, 3], np.int32)
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_unique_matches_np_unique(self, values, dtype):
+        ids = np.array(values, dtype=dtype)
+        got, want = sorted_unique(ids), np.unique(ids)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
 
 class TestFusion:
     def test_same_output_as_unfused(self, diamond):
@@ -171,6 +189,24 @@ class TestFusion:
         )
         assert fused.launches < a.launches + f.launches
         assert fused.streaming_bytes < a.streaming_bytes + f.streaming_bytes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_witnesses_off_changes_nothing_else(self, seed):
+        g = generate_rmat(8, 8, seed=seed)
+        rng = np.random.default_rng(seed)
+        labels = np.where(rng.random(g.num_vertices) < 0.3, 0, -1)
+        frontier = rng.choice(g.num_vertices, 40, replace=False)
+        with_w, src, eidx, st_w = fused_advance_filter(
+            g, frontier, labels, -1
+        )
+        without, no_src, no_eidx, st_n = fused_advance_filter(
+            g, frontier, labels, -1, witnesses=False
+        )
+        assert src is not None and eidx is not None
+        assert no_src is None and no_eidx is None
+        assert np.array_equal(with_w, without)
+        assert with_w.dtype == without.dtype
+        assert st_w == st_n
 
     def test_first_witness_lowest_edge(self):
         nbrs = np.array([5, 5, 5])
