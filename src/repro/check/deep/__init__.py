@@ -12,18 +12,7 @@ modules and the framework itself:
   (REP114 combiner-certification);
 * :mod:`~repro.check.deep.barriers` — structural verification of the
   backend/enactor barrier discipline (REP113);
-* :mod:`~repro.check.deep.modelcheck` +
-  :mod:`~repro.check.deep.schedules` — the superstep interleaving model
-  checker (``--mc``): hot hooks compile to per-GPU effect summaries
-  whose schedules are exhaustively explored under strict and relaxed
-  barrier models, emitting :class:`ScheduleCertificate` (REP116
-  non-commutative-effects, REP117 relaxed-barrier-unsafe) with
-  replayable counterexample schedules;
-* :mod:`~repro.check.deep.sarif` — SARIF 2.1.0 output for CI ingestion;
-* :mod:`~repro.check.deep.baseline` — fingerprint-based suppression so
-  CI gates on *new* findings only;
-* :mod:`~repro.check.deep.cache` — per-file mtime+hash memoization of
-  ``--deep``/``--mc`` results under ``.repro-check-cache/``.
+* :mod:`~repro.check.deep.sarif` — SARIF 2.1.0 output for CI ingestion.
 
 Inline waivers (``# repro-check: disable=REP111 -- reason``) apply to
 deep findings exactly as they do to syntactic ones.
@@ -47,22 +36,8 @@ from .certify import (
     CombinerCertificate,
     certify_combiner,
     certify_module,
-    certify_problem_combiners,
 )
 from .interp import DEEP_INTERP_RULES, analyze_module
-from .baseline import (
-    fingerprint,
-    load_baseline,
-    split_baselined,
-    write_baseline,
-)
-from .cache import ANALYSIS_VERSION, DEFAULT_CACHE_DIR, DeepCheckCache
-from .modelcheck import (
-    DEEP_MC_RULES,
-    ScheduleCertificate,
-    certify_schedule_for,
-    modelcheck_module,
-)
 from .sarif import findings_to_sarif
 
 __all__ = [
@@ -70,22 +45,11 @@ __all__ = [
     "DeepReport",
     "deep_analyze_source",
     "deep_analyze_paths",
-    "modelcheck_source",
     "CombinerCertificate",
-    "ScheduleCertificate",
     "certify_combiner",
-    "certify_problem_combiners",
-    "certify_schedule_for",
     "verify_barrier_discipline",
     "BarrierReport",
     "findings_to_sarif",
-    "fingerprint",
-    "load_baseline",
-    "split_baselined",
-    "write_baseline",
-    "DeepCheckCache",
-    "DEFAULT_CACHE_DIR",
-    "ANALYSIS_VERSION",
 ]
 
 #: rule_id -> (name, description) for every rule this tier can emit
@@ -93,34 +57,22 @@ DEEP_RULES: Dict[str, Tuple[str, str]] = {
     **DEEP_INTERP_RULES,
     **DEEP_BARRIER_RULES,
     **DEEP_CERTIFY_RULES,
-    **DEEP_MC_RULES,
 }
 
 
 @dataclass
 class DeepReport:
-    """Everything one ``--deep``/``--mc`` run produced."""
+    """Everything one ``--deep`` run produced."""
 
     findings: List[Finding] = field(default_factory=list)
     certificates: List[CombinerCertificate] = field(default_factory=list)
-    schedule_certificates: List[ScheduleCertificate] = field(
-        default_factory=list)
     barrier: Optional[BarrierReport] = None
-    cache_note: str = ""
 
     def render_certificates(self) -> str:
         if not self.certificates:
             return "combiner certificates: none"
         lines = ["combiner certificates:"]
         for cert in self.certificates:
-            lines.append(f"  {cert.describe()}")
-        return "\n".join(lines)
-
-    def render_schedule_certificates(self) -> str:
-        if not self.schedule_certificates:
-            return "schedule certificates: none"
-        lines = ["schedule certificates:"]
-        for cert in self.schedule_certificates:
             lines.append(f"  {cert.describe()}")
         return "\n".join(lines)
 
@@ -152,94 +104,28 @@ def deep_analyze_source(
     return findings, certificates
 
 
-def modelcheck_source(
-    source: str, path: str = "<string>"
-) -> Tuple[List[Finding], List[ScheduleCertificate]]:
-    """Model-check one source string (REP116/REP117 + schedule certs).
-
-    Waivers are honored; findings come back sorted by (line, col, rule).
-    """
-    try:
-        ctx = ModuleContext.parse(path, source)
-    except SyntaxError as exc:
-        return (
-            [Finding(
-                rule_id="REP000", rule="parse-error", path=path,
-                line=exc.lineno or 1, col=(exc.offset or 0) + 1,
-                message=f"cannot parse module: {exc.msg}",
-            )],
-            [],
-        )
-    waivers = _collect_waivers(source)
-    findings, certificates = modelcheck_module(ctx)
-    findings = [f for f in findings if not _waived(f, waivers)]
-    findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
-    return findings, certificates
-
-
 def deep_analyze_paths(
-    paths: Iterable[str],
-    verify_framework: bool = True,
-    deep: bool = True,
-    mc: bool = False,
-    cache: Optional[DeepCheckCache] = None,
+    paths: Iterable[str], verify_framework: bool = True
 ) -> DeepReport:
-    """Run the requested deep tiers over every ``.py`` file under paths.
+    """Run the deep tier over every ``.py`` file under paths.
 
-    ``deep`` runs the abstract-interpretation + combiner-certification
-    tier (REP110–114); ``mc`` runs the superstep interleaving model
-    checker (REP116/117).  ``verify_framework`` additionally runs the
-    barrier-discipline verifier over the installed ``repro.core``
-    backend/enactor (part of the ``deep`` tier: their obligations hold
-    for every run regardless of which primitive paths were analyzed).
-    ``cache`` (a :class:`DeepCheckCache`) skips re-analysis of files
-    whose content is unchanged.  Findings are globally sorted by (path,
-    line, col, rule) for stable CI diffs.
+    Each file gets abstract interpretation and combiner certification
+    (REP110–112, REP114).  ``verify_framework`` additionally runs the
+    barrier-discipline verifier (REP113) over the installed
+    ``repro.core`` backend/enactor: their obligations hold for every run
+    regardless of which primitive paths were analyzed.  Findings are
+    globally sorted by (path, line, col, rule) for stable CI diffs.
     """
     report = DeepReport()
     for f in iter_python_files(paths):
-        source = f.read_text(encoding="utf-8")
-        path = str(f)
-        if deep:
-            payload = cache.get(path, source, "deep") if cache else None
-            if payload is not None:
-                findings = [Finding.from_dict(d)
-                            for d in payload.get("findings", [])]
-                certs = [CombinerCertificate.from_dict(d)
-                         for d in payload.get("certificates", [])]
-            else:
-                findings, certs = deep_analyze_source(source, path)
-                if cache is not None:
-                    cache.put(path, source, "deep", {
-                        "findings": [x.to_dict() for x in findings],
-                        "certificates": [x.to_dict() for x in certs],
-                    })
-            report.findings.extend(findings)
-            report.certificates.extend(certs)
-        if mc:
-            payload = cache.get(path, source, "mc") if cache else None
-            if payload is not None:
-                findings = [Finding.from_dict(d)
-                            for d in payload.get("findings", [])]
-                scerts = [ScheduleCertificate.from_dict(d)
-                          for d in payload.get("schedule_certificates", [])]
-            else:
-                findings, scerts = modelcheck_source(source, path)
-                if cache is not None:
-                    cache.put(path, source, "mc", {
-                        "findings": [x.to_dict() for x in findings],
-                        "schedule_certificates": [
-                            x.to_dict() for x in scerts],
-                    })
-            report.findings.extend(findings)
-            report.schedule_certificates.extend(scerts)
-    if deep and verify_framework:
+        findings, certs = deep_analyze_source(
+            f.read_text(encoding="utf-8"), str(f)
+        )
+        report.findings.extend(findings)
+        report.certificates.extend(certs)
+    if verify_framework:
         report.barrier = verify_barrier_discipline()
         report.findings.extend(report.barrier.findings)
-    if cache is not None:
-        cache.save()
-        report.cache_note = cache.describe()
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     report.certificates.sort(key=lambda c: (c.array, c.op))
-    report.schedule_certificates.sort(key=lambda c: (c.path, c.primitive))
     return report

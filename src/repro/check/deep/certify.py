@@ -1,10 +1,10 @@
 """Algebraic combiner certification (REP114) and CombinerCertificate.
 
 A :class:`~repro.core.combine.Combiner` carries programmer *claims*
-(``commutative=True``, ``idempotent=True``).  The BSP race sanitizer and
-the planned relaxed-barrier mode both trust those flags, so a wrong claim
-silently converts a data race into "benign".  This module closes the loop:
-each combiner op name resolves to concrete merge semantics
+(``commutative=True``, ``idempotent=True``).  The BSP race sanitizer
+trusts those flags at every barrier, so a wrong claim silently converts
+a data race into "benign".  This module closes the loop: each combiner
+op name resolves to concrete merge semantics
 (:func:`repro.core.combine.op_semantics`) which are evaluated
 **exhaustively** over a small finite domain —
 
@@ -23,17 +23,11 @@ safety margin, not correctness.
 
 Ops registered with ``fn=None`` (``witness``) are *declared
 nondeterministic*: there is no merge function to certify, so they are
-exempt from equational checks but can never be certified for
-relaxed-barrier execution.
+exempt from equational checks.
 
-Two entry points:
-
-* :func:`certify_module` — static, AST-based, used by
-  ``repro check --deep``; resolves ``combiners = {...}`` declarations in
-  problem classes without importing the module.
-* :func:`certify_problem_combiners` — runtime, used by the
-  :class:`~repro.core.enactor.Enactor` ``relaxed_barriers`` precondition
-  on live :class:`Combiner` instances.
+:func:`certify_module` is the static, AST-based entry point used by
+``repro check --deep``: it resolves ``combiners = {...}`` declarations
+in problem classes without importing the module.
 """
 
 from __future__ import annotations
@@ -52,9 +46,7 @@ __all__ = [
     "CombinerCertificate",
     "evaluate_op",
     "certify_combiner",
-    "certify_problem_combiners",
     "certify_module",
-    "declared_combiners",
     "DEEP_CERTIFY_RULES",
 ]
 
@@ -96,17 +88,6 @@ class CombinerCertificate:
     note: str = ""
 
     @property
-    def certified_order_independent(self) -> bool:
-        """Whether this certificate licenses relaxed-barrier merging:
-        the evaluation proved BOTH idempotency and commutativity (the
-        declaration alone is never enough)."""
-        return (
-            self.status == STATUS_CERTIFIED
-            and bool(self.idempotent)
-            and bool(self.commutative)
-        )
-
-    @property
     def overclaims(self) -> List[str]:
         """Declared properties the evaluation refuted."""
         bad = []
@@ -134,30 +115,8 @@ class CombinerCertificate:
             "counterexamples": {
                 k: list(v) for k, v in sorted(self.counterexamples.items())
             },
-            "certified_order_independent": self.certified_order_independent,
             "note": self.note,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CombinerCertificate":
-        declared = d.get("declared", {})
-        evaluated = d.get("evaluated", {})
-        return cls(
-            array=d["array"],
-            op=d["op"],
-            status=d["status"],
-            declared_commutative=bool(declared.get("commutative", False)),
-            declared_idempotent=bool(declared.get("idempotent", False)),
-            idempotent=evaluated.get("idempotent"),
-            commutative=evaluated.get("commutative"),
-            associative=evaluated.get("associative"),
-            domain=tuple(d.get("domain", ())),
-            counterexamples={
-                k: tuple(v)
-                for k, v in d.get("counterexamples", {}).items()
-            },
-            note=d.get("note", ""),
-        )
 
     def describe(self) -> str:
         props = []
@@ -254,23 +213,6 @@ def certify_combiner(array: str, combiner: Combiner) -> CombinerCertificate:
     return cert
 
 
-def certify_problem_combiners(
-    problem, arrays: Optional[List[str]] = None
-) -> Dict[str, CombinerCertificate]:
-    """Certify a live problem's declared combiners (Enactor entry point).
-
-    ``arrays`` restricts certification to the slice arrays actually in
-    play (e.g. only those allocated on the data slices); by default every
-    declared combiner is certified.
-    """
-    certs: Dict[str, CombinerCertificate] = {}
-    for name, combiner in sorted(problem.combiners.items()):
-        if arrays is not None and name not in arrays:
-            continue
-        certs[name] = certify_combiner(name, combiner)
-    return certs
-
-
 # ---------------------------------------------------------------------------
 # Static (AST) certification for `repro check --deep`
 
@@ -348,46 +290,6 @@ def _module_constants(ctx: ModuleContext) -> Dict[str, ast.AST]:
             t = stmt.targets[0]
             if isinstance(t, ast.Name):
                 out[t.id] = stmt.value
-    return out
-
-
-def declared_combiners(
-    ctx: ModuleContext,
-) -> Dict[str, Dict[str, Combiner]]:
-    """Statically resolve every problem class's ``combiners = {...}``
-    declaration to live :class:`Combiner` objects, without importing
-    the module.  Returns ``{problem class name: {array: Combiner}}``
-    (unresolvable value expressions are skipped, same as
-    :func:`certify_module`).  The model checker uses this to pair each
-    iteration class with the combiner algebra its effects fold under.
-    """
-    out: Dict[str, Dict[str, Combiner]] = {}
-    constants = _module_constants(ctx)
-    for cls in ctx.problem_classes:
-        combs: Dict[str, Combiner] = {}
-        for stmt in cls.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.AST] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if not any(
-                isinstance(t, ast.Name) and t.id == "combiners"
-                for t in targets
-            ):
-                continue
-            if not isinstance(value, ast.Dict):
-                continue
-            for key, val in zip(value.keys, value.values):
-                if not (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    continue
-                combiner = _resolve_combiner_expr(val, constants)
-                if combiner is not None:
-                    combs[key.value] = combiner
-        if combs:
-            out[cls.name] = combs
     return out
 
 

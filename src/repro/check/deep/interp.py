@@ -24,8 +24,7 @@ pattern matchers cannot:
   (``ProblemBase.CHECKPOINT_ATTRS``) nor a declared re-derivable cache
   (``IterationBase.SNAPSHOT_EXCLUDE``).  Such values escape the
   superstep outside the slice arrays and combiners the framework
-  reasons about: a rollback silently resurrects them and the relaxed
-  barrier mode cannot prove them safe.
+  reasons about: a rollback silently resurrects them.
 
 The interpreter is interprocedural within one module: calls from a hook
 into a module-level helper function propagate the caller's abstract

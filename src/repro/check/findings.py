@@ -49,19 +49,6 @@ class Finding:
             d["extra"] = dict(self.extra)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        return cls(
-            rule_id=d["rule_id"],
-            rule=d["rule"],
-            path=d["path"],
-            line=int(d["line"]),
-            col=int(d["col"]),
-            message=d["message"],
-            severity=d.get("severity", "error"),
-            extra=dict(d.get("extra", {})),
-        )
-
     def render(self) -> str:
         return (
             f"{self.location()}: {self.severity}: "

@@ -7,12 +7,16 @@ iteration hook that writes through ``problem.data_slices[j]`` or
 on real hardware that is a cross-device race the barrier cannot order.
 Hooks must touch only their own ``ctx.slice``/``ctx.sub``; the dynamic
 sanitizer enforces the same contract at runtime (SAN201/SAN202).
+
+A local alias does not hide the write: a name bound in the hook to a
+peer array (``peer = self.problem.data_slices[1]["state"]``), or to a
+subscript/attribute of such a name, is peer state too.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Set
 
 from ..findings import Finding
 from .base import ModuleContext, Rule
@@ -37,6 +41,49 @@ def _mentions_peer_state(node: ast.AST) -> bool:
     return False
 
 
+def _reaches_peer(node: ast.AST, aliases: Set[str]) -> bool:
+    """Whether a subscript/attribute chain is rooted in peer state: some
+    link indexes ``.data_slices``/``.subgraphs``, or the chain starts at
+    a name in ``aliases``.  Calls end the chain (``.copy()`` is a
+    private buffer)."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in _PEER_ATTRS
+        ):
+            return True
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
+def _peer_aliases(method: ast.AST) -> Set[str]:
+    """Names the hook binds to peer state, followed through chains of
+    aliases (``ds = ...data_slices[1]; peer = ds["state"]``)."""
+    aliases: Set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if not _reaches_peer(value, aliases):
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id not in aliases:
+                    aliases.add(t.id)
+                    changed = True
+    return aliases
+
+
+def _touches_peer(node: ast.AST, aliases: Set[str]) -> bool:
+    return _mentions_peer_state(node) or _reaches_peer(node, aliases)
+
+
 class PeerMutationRule(Rule):
     """Flag stores and mutating calls that reach through
     ``data_slices[...]``/``subgraphs[...]`` inside iteration hooks."""
@@ -51,6 +98,7 @@ class PeerMutationRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for cls in ctx.iteration_classes:
             for method in ctx.methods(cls):
+                aliases = _peer_aliases(method)
                 for node in ast.walk(method):
                     targets = []
                     if isinstance(node, ast.Assign):
@@ -62,7 +110,7 @@ class PeerMutationRule(Rule):
                         # arrays; binding a plain name is a local read
                         if isinstance(
                             t, (ast.Subscript, ast.Attribute)
-                        ) and _mentions_peer_state(t):
+                        ) and _touches_peer(t, aliases):
                             yield self.finding(
                                 ctx, node,
                                 f"{cls.name}.{method.name} writes through "
@@ -76,9 +124,9 @@ class PeerMutationRule(Rule):
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in _MUTATORS
                         and (
-                            _mentions_peer_state(node.func.value)
+                            _touches_peer(node.func.value, aliases)
                             or any(
-                                _mentions_peer_state(a)
+                                _touches_peer(a, aliases)
                                 for a in node.args[:1]
                             )
                         )

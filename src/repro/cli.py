@@ -41,13 +41,13 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from .analysis.bsp import decompose
 from .analysis.gteps import traversal_gteps
 from .analysis.reporting import render_table
+from .core.backend import parse_backend_spec
 from .graph import datasets
 from .graph.build import add_random_weights
 from .partition import border_stats, make_partitioner
@@ -55,6 +55,16 @@ from .sim.device import K40, K80_HALF, P100
 from .sim.machine import Machine
 
 SPECS = {"k40": K40, "k80": K80_HALF, "p100": P100}
+
+
+def _backend_spec(spec: str) -> str:
+    """argparse ``type=`` for ``--backend``: a bad spec is a usage error
+    (exit 2) before any dataset loads."""
+    try:
+        parse_backend_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sanitize", action="store_true",
                      help="run under the BSP race sanitizer and report "
                           "hazards (exit 1 if any are found)")
-    run.add_argument("--backend", default="serial",
+    run.add_argument("--backend", default="serial", type=_backend_spec,
                      help="execution backend: serial, threads[:N], or "
                           "processes[:N] (results are bit-identical; "
                           "only wall-clock changes)")
@@ -133,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--dataset", default="soc-orkut")
     sweep.add_argument("--max-gpus", type=int, default=6)
     sweep.add_argument("--src", type=int, default=0)
-    sweep.add_argument("--backend", default="serial",
+    sweep.add_argument("--backend", default="serial", type=_backend_spec,
                        help="execution backend: serial, threads[:N], "
                             "processes[:N]")
 
@@ -241,29 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "interpretation of hook bodies (REP110-112), "
                             "barrier-discipline verification (REP113), "
                             "and combiner certification (REP114)")
-    check.add_argument("--mc", action="store_true",
-                       help="also run the superstep interleaving model "
-                            "checker: explore strict/relaxed barrier "
-                            "schedules of each primitive's effect "
-                            "summaries (REP116-117) and emit "
-                            "ScheduleCertificates")
-    check.add_argument("--trace-out", metavar="DIR", dest="trace_out",
-                       help="with --mc: write each counterexample as a "
-                            "replayable schedule JSON plus a Perfetto-"
-                            "loadable Chrome trace under DIR")
-    check.add_argument("--no-cache", action="store_true", dest="no_cache",
-                       help="disable the per-file result cache under "
-                            ".repro-check-cache/ for --deep/--mc")
     check.add_argument("--sarif", nargs="?", const="-", metavar="FILE",
                        help="emit SARIF 2.1.0 (to FILE, or stdout when "
                             "no file is given)")
-    check.add_argument("--baseline", metavar="FILE",
-                       help="suppress findings recorded in this baseline "
-                            "file; only new findings fail the gate")
-    check.add_argument("--write-baseline", metavar="FILE",
-                       dest="write_baseline",
-                       help="record the current findings as the baseline "
-                            "and exit 0")
     return p
 
 
@@ -750,81 +740,16 @@ def _cmd_check(args, out) -> int:
     deep_report = None
     try:
         findings = lint_paths(paths)
-        if args.deep or args.mc:
-            from .check.deep import DeepCheckCache, deep_analyze_paths
+        if args.deep:
+            from .check.deep import deep_analyze_paths
 
-            cache = None if args.no_cache else DeepCheckCache()
-            deep_report = deep_analyze_paths(
-                paths, deep=args.deep, mc=args.mc, cache=cache
-            )
+            deep_report = deep_analyze_paths(paths)
             findings.extend(deep_report.findings)
-            if deep_report.cache_note:
-                # stderr only: stdout must stay byte-stable for CI diffs
-                print(f"repro check: {deep_report.cache_note}",
-                      file=sys.stderr)
     except OSError as exc:
         print(f"repro check: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.trace_out and deep_report is not None:
-        from .check.deep.schedules import (
-            dump_trace,
-            schedule_trace_to_tracer,
-        )
-        from .obs.chrome_trace import export_chrome_trace
-
-        try:
-            os.makedirs(args.trace_out, exist_ok=True)
-            written = 0
-            for cert in deep_report.schedule_certificates:
-                ce = cert.counterexample
-                if not ce:
-                    continue
-                stem = os.path.join(args.trace_out, cert.primitive)
-                with open(stem + ".schedule.json", "w",
-                          encoding="utf-8") as fh:
-                    fh.write(dump_trace(ce))
-                tracer = schedule_trace_to_tracer(
-                    ce["divergent"],
-                    divergent_step=ce.get("first_divergent_step"),
-                )
-                export_chrome_trace(tracer, stem + ".trace.json")
-                written += 1
-        except OSError as exc:
-            print(f"repro check: error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"repro check: wrote {written} counterexample trace"
-            f"{'s' if written != 1 else ''} to {args.trace_out}",
-            file=out,
-        )
     # stable order for CI diffs, across files and tiers
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-
-    suppressed = []
-    if args.baseline:
-        from .check.deep import load_baseline, split_baselined
-
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro check: error: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = split_baselined(findings, baseline)
-    if args.write_baseline:
-        from .check.deep import write_baseline
-
-        try:
-            n = write_baseline(args.write_baseline, findings)
-        except OSError as exc:
-            print(f"repro check: error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"repro check: wrote {n} suppression"
-            f"{'s' if n != 1 else ''} to {args.write_baseline}",
-            file=out,
-        )
-        return 0
 
     if args.sarif is not None:
         from .check.deep import DEEP_RULES, findings_to_sarif
@@ -848,36 +773,18 @@ def _cmd_check(args, out) -> int:
     if args.as_json:
         doc = _json.loads(findings_to_json(findings))
         if deep_report is not None:
-            if args.deep:
-                doc["certificates"] = [
-                    c.to_dict() for c in deep_report.certificates
-                ]
-            if args.mc:
-                doc["schedule_certificates"] = [
-                    c.to_dict()
-                    for c in deep_report.schedule_certificates
-                ]
+            doc["certificates"] = [
+                c.to_dict() for c in deep_report.certificates
+            ]
             if deep_report.barrier is not None:
                 doc["barrier"] = deep_report.barrier.to_dict()
-        if suppressed:
-            doc["suppressed"] = len(suppressed)
         print(_json.dumps(doc, indent=2, sort_keys=True), file=out)
     else:
         print(render_findings(findings), file=out)
         if deep_report is not None:
-            if args.deep:
-                print(deep_report.render_certificates(), file=out)
-            if args.mc:
-                print(deep_report.render_schedule_certificates(),
-                      file=out)
+            print(deep_report.render_certificates(), file=out)
             if deep_report.barrier is not None:
                 print(deep_report.barrier.describe(), file=out)
-        if suppressed:
-            print(
-                f"repro check: {len(suppressed)} baselined finding"
-                f"{'s' if len(suppressed) != 1 else ''} suppressed",
-                file=out,
-            )
     return 1 if findings else 0
 
 

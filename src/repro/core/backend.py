@@ -78,6 +78,7 @@ __all__ = [
     "ThreadsBackend",
     "ProcessesBackend",
     "make_backend",
+    "parse_backend_spec",
     "BACKENDS",
 ]
 
@@ -811,25 +812,51 @@ class ProcessesBackend(ExecutionBackend):
         return [fn() for fn in fns]
 
 
+def parse_backend_spec(spec: str) -> Tuple[str, Optional[int]]:
+    """Split ``"name"`` / ``"name:N"`` into ``(name, N or None)``.
+
+    Raises :class:`ValueError` naming the spec when the name is not one
+    of :data:`BACKENDS`, when ``N`` is not an integer >= 1, or when a
+    worker count is given to ``serial`` (which has no workers).
+    """
+    name, sep, arg = str(spec).partition(":")
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown execution backend {spec!r}; expected one of "
+            f"{BACKENDS}"
+        )
+    if not sep:
+        return name, None
+    if name == "serial":
+        raise ValueError(
+            f"bad execution backend {spec!r}: serial takes no worker count"
+        )
+    try:
+        workers = int(arg)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"bad execution backend {spec!r}: worker count must be an "
+            "integer >= 1"
+        )
+    return name, workers
+
+
 def make_backend(
     spec: Union[str, ExecutionBackend, None], num_gpus: int = 0
 ) -> ExecutionBackend:
     """Resolve a backend spec: an instance, ``"serial"``, ``"threads"``
     / ``"threads:N"``, or ``"processes"`` / ``"processes:N"`` (explicit
-    worker count)."""
+    worker count; see :func:`parse_backend_spec`)."""
     if spec is None:
         return SerialBackend()
     if isinstance(spec, ExecutionBackend):
         return spec
-    name, _, arg = str(spec).partition(":")
+    name, workers = parse_backend_spec(spec)
     if name == "serial":
         return SerialBackend()
+    workers = workers or num_gpus or None
     if name == "threads":
-        workers = int(arg) if arg else (num_gpus or None)
         return ThreadsBackend(max_workers=workers)
-    if name == "processes":
-        workers = int(arg) if arg else (num_gpus or None)
-        return ProcessesBackend(max_workers=workers)
-    raise ValueError(
-        f"unknown execution backend {spec!r}; expected one of {BACKENDS}"
-    )
+    return ProcessesBackend(max_workers=workers)

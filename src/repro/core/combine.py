@@ -92,15 +92,15 @@ OVERWRITE = Combiner("overwrite", commutative=False, idempotent=False)
 # ---------------------------------------------------------------------------
 # Concrete operator semantics — the ground truth behind each declaration.
 #
-# A Combiner's ``commutative``/``idempotent`` flags are programmer *claims*.
-# The deep analysis tier (``repro check --deep``, repro.check.deep.certify)
-# verifies the claims by exhaustively evaluating the operator's concrete
-# semantics over a small finite domain and emits a machine-checkable
-# CombinerCertificate; the Enactor's relaxed-barrier precondition consumes
-# those certificates.  Ops registered with ``fn=None`` are declared
-# nondeterministic (any concurrently-written value is acceptable, e.g.
-# ``witness``): they have no equational semantics to certify and can never
-# be certified for relaxed-barrier execution.
+# A Combiner's ``commutative``/``idempotent`` flags are programmer *claims*,
+# and the BSP race sanitizer trusts them when it decides whether a
+# write-write conflict is benign.  The deep analysis tier (``repro check
+# --deep``, repro.check.deep.certify) verifies the claims by exhaustively
+# evaluating the operator's concrete semantics over a small finite domain
+# and emits a machine-checkable CombinerCertificate.  Ops registered with
+# ``fn=None`` are declared nondeterministic (any concurrently-written value
+# is acceptable, e.g. ``witness``): they have no equational semantics to
+# certify.
 
 
 @dataclass(frozen=True)
@@ -151,12 +151,7 @@ def op_semantics(op: str) -> Optional[OpSemantics]:
 
 
 def known_ops() -> Tuple[str, ...]:
-    """All registered op-semantics names, sorted.
-
-    The certification tiers enumerate this to cross-check each other:
-    the property test in ``tests/check/test_mc_property.py`` asserts the
-    model checker's schedule-level verdict agrees with the algebraic
-    ``evaluate_op`` verdict for every op listed here."""
+    """All registered op-semantics names, sorted."""
     return tuple(sorted(_OP_SEMANTICS))
 
 

@@ -43,7 +43,6 @@ INSTANT_TYPES = frozenset(
         "recovery.rollback",
         "recovery.restore-routed",
         "sanitizer.hazard",
-        "mc.divergence",
     }
     | SUPERVISION_EVENT_TYPES
 )

@@ -97,18 +97,6 @@ class TestExitCodes:
             run_cli("check", "--frobnicate", clean_file)
         assert exc.value.code == 2
 
-    def test_bad_baseline_file_is_two(self, clean_file, tmp_path):
-        bl = tmp_path / "baseline.json"
-        bl.write_text("{}", encoding="utf-8")
-        code, _ = run_cli("check", "--baseline", str(bl), clean_file)
-        assert code == 2
-
-    def test_missing_baseline_file_is_two(self, clean_file, tmp_path):
-        code, _ = run_cli(
-            "check", "--baseline", str(tmp_path / "none.json"), clean_file
-        )
-        assert code == 2
-
 
 class TestDeepCli:
     def test_deep_clean_is_zero_with_certificates(self, clean_file):
@@ -153,114 +141,3 @@ class TestDeepCli:
         assert code == 1
         doc = json.loads(sarif_path.read_text(encoding="utf-8"))
         assert doc["runs"][0]["results"]
-
-    def test_baseline_gate_roundtrip(self, tmp_path):
-        p = tmp_path / "toy.py"
-        p.write_text(TOY_REJECT, encoding="utf-8")
-        bl = tmp_path / "baseline.json"
-        code, out = run_cli(
-            "check", "--deep", "--write-baseline", str(bl), str(p)
-        )
-        assert code == 0 and "wrote" in out
-        code, out = run_cli(
-            "check", "--deep", "--baseline", str(bl), str(p)
-        )
-        assert code == 0
-        assert "suppressed" in out
-
-
-MC_UNSAFE_SRC = '''
-"""doc"""
-from repro.core.problem import ProblemBase
-from repro.core.iteration import IterationBase
-from repro.core.combine import Combiner
-
-
-class AccProblem(ProblemBase):
-    combiners = {"acc": Combiner("sum", commutative=True)}
-
-
-class AccIteration(IterationBase):
-    def full_queue_core(self, ctx, frontier):
-        ctx.slice["acc"][frontier] += 1
-        return frontier, []
-
-    def expand_incoming(self, ctx, msg):
-        ctx.slice["acc"][msg.vertices] += msg.label_values[0]
-
-    def value_associate_arrays(self, ctx, vertices):
-        return [ctx.slice["acc"][vertices]]
-'''
-
-
-class TestMcCli:
-    """--mc follows the same 0/1/2 contract as the other tiers."""
-
-    def test_mc_clean_is_zero_with_certificates(self, clean_file):
-        code, out = run_cli("check", "--mc", "--no-cache", clean_file)
-        assert code == 0
-        assert "schedule certificates:" in out
-
-    def test_mc_findings_is_one(self, tmp_path):
-        p = tmp_path / "acc.py"
-        p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
-        code, out = run_cli("check", "--mc", "--no-cache", str(p))
-        assert code == 1
-        assert "REP117" in out
-        assert "strict-only [refuted]" in out
-
-    def test_mc_json_carries_schedule_certificates(self, tmp_path):
-        p = tmp_path / "acc.py"
-        p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
-        code, out = run_cli(
-            "check", "--mc", "--no-cache", "--json", str(p))
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["by_rule"].get("REP117", 0) == 1
-        certs = doc["schedule_certificates"]
-        assert certs and certs[0]["primitive"] == "AccIteration"
-        assert certs[0]["counterexample"] is not None
-
-    def test_mc_missing_path_is_two(self, tmp_path):
-        code, _ = run_cli(
-            "check", "--mc", "--no-cache", str(tmp_path / "nope.py"))
-        assert code == 2
-
-    def test_mc_sarif_has_rule_metadata(self, tmp_path):
-        p = tmp_path / "acc.py"
-        p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
-        code, out = run_cli(
-            "check", "--mc", "--no-cache", str(p), "--sarif")
-        assert code == 1
-        doc = json.loads(out)
-        rules = {r["id"]: r
-                 for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert rules["REP117"]["defaultConfiguration"]["level"] == "warning"
-        assert "fullDescription" in rules["REP117"]
-
-    def test_mc_baseline_gate_roundtrip(self, tmp_path):
-        p = tmp_path / "acc.py"
-        p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
-        bl = tmp_path / "baseline.json"
-        code, out = run_cli("check", "--mc", "--no-cache",
-                            "--write-baseline", str(bl), str(p))
-        assert code == 0 and "wrote" in out
-        code, out = run_cli("check", "--mc", "--no-cache",
-                            "--baseline", str(bl), str(p))
-        assert code == 0 and "suppressed" in out
-
-    def test_mc_trace_out_writes_replayable_pair(self, tmp_path):
-        p = tmp_path / "acc.py"
-        p.write_text(MC_UNSAFE_SRC, encoding="utf-8")
-        outdir = tmp_path / "traces"
-        code, out = run_cli("check", "--mc", "--no-cache",
-                            "--trace-out", str(outdir), str(p))
-        assert code == 1
-        assert (outdir / "AccIteration.schedule.json").exists()
-        assert (outdir / "AccIteration.trace.json").exists()
-        doc = json.loads((outdir / "AccIteration.schedule.json")
-                         .read_text(encoding="utf-8"))
-        assert doc["model"] == "relaxed"
-        assert doc["witness"]["version"] == 1
-        assert doc["witness"]["final_state"] != \
-            doc["divergent"]["final_state"]

@@ -1,19 +1,14 @@
 """Algebraic combiner certification: exhaustive evaluation of declared
-merge ops (REP114), CombinerCertificate semantics, and the Enactor's
-relaxed-barrier precondition that consumes the certificates."""
+merge ops (REP114) and CombinerCertificate semantics."""
 
 import pathlib
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.check.deep import deep_analyze_source
-from repro.check.deep.certify import (
-    certify_combiner,
-    certify_problem_combiners,
-    evaluate_op,
-)
+from repro.check.deep.certify import certify_combiner, evaluate_op
 from repro.core.combine import (
     ANY,
     MIN,
@@ -21,18 +16,25 @@ from repro.core.combine import (
     SUM,
     WITNESS,
     Combiner,
+    OpSemantics,
+    known_ops,
     op_semantics,
     register_op_semantics,
 )
-from repro.core.enactor import Enactor
-from repro.errors import SimulationError
-from repro.graph.generators.rmat import generate_rmat
-from repro.primitives.bfs import BFSIteration, BFSProblem
-from repro.sim.machine import Machine
 
 
-def ids_of(findings):
-    return [f.rule_id for f in findings]
+def assert_concrete_witnesses(fn, counter):
+    """Every counterexample ``evaluate_op`` reports must actually refute
+    its property when the merge function is applied to it."""
+    if "idempotent" in counter:
+        a, b = counter["idempotent"]
+        assert fn(fn(a, b), b) != fn(a, b)
+    if "commutative" in counter:
+        s, a, b = counter["commutative"]
+        assert fn(fn(s, a), b) != fn(fn(s, b), a)
+    if "associative" in counter:
+        a, b, c = counter["associative"]
+        assert fn(fn(a, b), c) != fn(a, fn(b, c))
 
 
 class TestEvaluateOp:
@@ -58,28 +60,56 @@ class TestEvaluateOp:
         idem, comm, assoc, counter = evaluate_op(op_semantics("sub"))
         assert comm and not idem and not assoc
 
+    @pytest.mark.parametrize("op", known_ops())
+    def test_counterexamples_are_concrete_witnesses(self, op):
+        sem = op_semantics(op)
+        idem, comm, assoc, counter = evaluate_op(sem)
+        if sem.fn is None:  # witness: nondeterministic by declaration
+            assert (idem, comm, assoc, counter) == (None, None, None, {})
+            return
+        # a property is refuted exactly when a witness is reported
+        assert set(counter) == {
+            name for name, ok in (("idempotent", idem),
+                                  ("commutative", comm),
+                                  ("associative", assoc)) if not ok
+        }
+        assert_concrete_witnesses(sem.fn, counter)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=st.fixed_dictionaries({
+        (a, b): st.sampled_from((0, 1, 2))
+        for a in (0, 1, 2) for b in (0, 1, 2)
+    }))
+    def test_arbitrary_merge_counterexamples_are_concrete(self, table):
+        # merge functions drawn as random lookup tables over a 3-value
+        # domain: every refutation must come with a real witness
+        def fn(a, b):
+            return table[(a, b)]
+
+        _idem, _comm, _assoc, counter = evaluate_op(
+            OpSemantics(fn, (0, 1, 2)))
+        assert_concrete_witnesses(fn, counter)
+
 
 class TestCertifyCombiner:
     def test_min_certificate(self):
         cert = certify_combiner("labels", MIN)
         assert cert.status == "certified"
-        assert cert.certified_order_independent
         assert cert.idempotent and cert.commutative and cert.associative
         assert cert.overclaims == []
 
     def test_any_certificate(self):
         cert = certify_combiner("in_frontier", ANY)
-        assert cert.certified_order_independent
+        assert cert.idempotent and cert.commutative
 
-    def test_sum_not_certifiable_for_relaxed(self):
+    def test_sum_certificate_is_honest_not_idempotent(self):
         cert = certify_combiner("acc", SUM)
         assert cert.status == "certified"  # declaration is honest
-        assert not cert.certified_order_independent  # but not idempotent
+        assert cert.commutative and not cert.idempotent
 
     def test_witness_is_nondeterministic(self):
         cert = certify_combiner("preds", WITNESS)
         assert cert.status == "nondeterministic"
-        assert not cert.certified_order_independent
         assert cert.idempotent is None and cert.commutative is None
 
     def test_overwrite_underclaim_is_allowed(self):
@@ -88,19 +118,39 @@ class TestCertifyCombiner:
         cert = certify_combiner("x", OVERWRITE)
         assert cert.status == "certified"
         assert cert.overclaims == []
-        assert not cert.certified_order_independent
+        assert not cert.commutative
 
-    def test_overclaim_is_refuted_with_counterexample(self):
-        lying = Combiner("overwrite", commutative=True, idempotent=True)
+    @staticmethod
+    def assert_overclaim_refuted(lying, refuted):
         cert = certify_combiner("x", lying)
         assert cert.status == "refuted"
-        assert "commutative" in cert.overclaims
-        assert "commutative" in cert.counterexamples
+        assert refuted in cert.overclaims
+        assert refuted in cert.counterexamples
+        assert_concrete_witnesses(
+            op_semantics(lying.op).fn, cert.counterexamples)
+
+    def test_overclaim_is_refuted_with_counterexample(self):
+        self.assert_overclaim_refuted(
+            Combiner("overwrite", commutative=True, idempotent=True),
+            "commutative")
+
+    def test_last_writer_commutativity_overclaim_is_refuted(self):
+        # last-writer-wins is order-dependent
+        self.assert_overclaim_refuted(
+            Combiner("last", commutative=True, reason="wrongly claimed"),
+            "commutative")
+
+    def test_sum_idempotency_overclaim_is_refuted(self):
+        # re-applying a sum update double-counts
+        self.assert_overclaim_refuted(
+            Combiner("sum", commutative=True, idempotent=True,
+                     reason="wrongly claimed"),
+            "idempotent")
 
     def test_unknown_op(self):
         cert = certify_combiner("x", Combiner("frobnicate"))
         assert cert.status == "unknown-op"
-        assert not cert.certified_order_independent
+        assert cert.commutative is None
 
     def test_registered_custom_op_certifies(self):
         register_op_semantics("gcd2", lambda a, b: abs(a) | abs(b),
@@ -109,13 +159,13 @@ class TestCertifyCombiner:
             "x", Combiner("gcd2", commutative=True, idempotent=True)
         )
         assert cert.status == "certified"
-        assert cert.certified_order_independent
+        assert cert.idempotent and cert.commutative
 
     def test_certificate_roundtrips_to_dict(self):
         d = certify_combiner("labels", MIN).to_dict()
         assert d["array"] == "labels"
         assert d["evaluated"]["idempotent"] is True
-        assert d["certified_order_independent"] is True
+        assert d["declared"] == {"commutative": True, "idempotent": True}
 
 
 TOY_REJECT = '''
@@ -156,8 +206,7 @@ class TestStaticCertification:
             by_array = {c.array: c for c in certs}
             for arr in arrays:
                 cert = by_array[arr]
-                assert cert.certified_order_independent, (fname, arr)
-                assert cert.idempotent and cert.commutative
+                assert cert.idempotent and cert.commutative, (fname, arr)
 
     def test_unknown_op_with_claims_warns(self):
         src = '''
@@ -172,49 +221,3 @@ class P(ProblemBase):
         warn = [f for f in findings if f.rule_id == "REP114"]
         assert warn and warn[0].severity == "warning"
         assert certs[0].status == "unknown-op"
-
-
-class TestEnactorPrecondition:
-    def _graph(self):
-        return generate_rmat(9, 8, seed=7)
-
-    def test_bfs_passes_and_stores_certificates(self):
-        g = self._graph()
-        p = BFSProblem(g, Machine(num_gpus=2))
-        e = Enactor(p, BFSIteration, relaxed_barriers=True)
-        assert e.relaxed_barriers
-        assert e.combiner_certificates["labels"].certified_order_independent
-        # semantics unchanged: relaxed run matches a plain run
-        e.enact(src=0)
-        p2 = BFSProblem(g, Machine(num_gpus=2))
-        Enactor(p2, BFSIteration).enact(src=0)
-        np.testing.assert_array_equal(
-            p.extract("labels"), p2.extract("labels")
-        )
-
-    def test_witness_combiner_is_rejected(self):
-        p = BFSProblem(self._graph(), Machine(num_gpus=2),
-                       mark_predecessors=True)
-        with pytest.raises(SimulationError, match="relaxed_barriers"):
-            Enactor(p, BFSIteration, relaxed_barriers=True)
-
-    def test_sum_combiner_is_rejected(self):
-        from repro.primitives.pr import PRIteration, PRProblem
-
-        p = PRProblem(self._graph(), Machine(num_gpus=2))
-        with pytest.raises(SimulationError, match="certified"):
-            Enactor(p, PRIteration, relaxed_barriers=True)
-
-    def test_default_is_off_and_checks_nothing(self):
-        p = BFSProblem(self._graph(), Machine(num_gpus=2),
-                       mark_predecessors=True)
-        e = Enactor(p, BFSIteration)  # WITNESS present, but gate is off
-        assert e.combiner_certificates == {}
-
-    def test_runtime_certifier_scopes_to_live_arrays(self):
-        p = BFSProblem(self._graph(), Machine(num_gpus=2))
-        certs = certify_problem_combiners(
-            p, arrays=list(p.data_slices[0].arrays)
-        )
-        assert "preds" not in certs  # not allocated without the flag
-        assert "labels" in certs

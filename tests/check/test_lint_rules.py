@@ -205,6 +205,45 @@ class ToyIteration(IterationBase):
 '''
         assert "REP106" in ids_of(lint_source(src, "t.py"))
 
+    def test_write_through_local_alias(self):
+        src = PROBLEM_PREAMBLE + '''
+from repro.core.combine import Combiner
+
+
+class PokeProblem(ProblemBase):
+    combiners = {"state": Combiner("min", commutative=True,
+                                   idempotent=True)}
+
+
+class PokeIteration(IterationBase):
+    def full_queue_core(self, ctx, frontier):
+        peer = self.problem.data_slices[1]["state"]
+        peer[frontier] = ctx.slice["state"][frontier] + 1
+        return frontier, []
+
+    def expand_incoming(self, ctx, msg):
+        return msg
+'''
+        findings = [f for f in lint_source(src, "poke.py")
+                    if f.rule_id == "REP106"]
+        assert len(findings) == 1
+        assert findings[0].line == src.splitlines().index(
+            "        peer[frontier] = ctx.slice[\"state\"][frontier] + 1") + 1
+
+    def test_mutator_through_alias_chain(self):
+        src = PROBLEM_PREAMBLE + '''
+class ToyIteration(IterationBase):
+    def full_queue_core(self, ctx, frontier):
+        ds = self.problem.data_slices[1]
+        dist = ds["dist"]
+        dist.fill(0)
+        np.copyto(dist, 1)
+        return frontier, []
+'''
+        findings = [f for f in lint_source(src, "t.py")
+                    if f.rule_id == "REP106"]
+        assert len(findings) == 2
+
     def test_plain_read_allowed(self):
         src = PROBLEM_PREAMBLE + '''
 class ToyIteration(IterationBase):
@@ -213,6 +252,12 @@ class ToyIteration(IterationBase):
         return bool(labels.max() > 3)
 
     def full_queue_core(self, ctx, frontier):
+        # a .copy() is a private buffer; an alias used only as a value
+        # or an index is a read
+        snap = self.problem.data_slices[1]["labels"].copy()
+        snap[frontier] = 0
+        n = self.problem.data_slices[1]["labels"].shape[0]
+        ctx.slice["labels"][frontier[frontier < n]] = snap[frontier]
         return frontier, []
 '''
         assert "REP106" not in ids_of(lint_source(src, "t.py"))

@@ -14,6 +14,7 @@ workers asserts ``/dev/shm`` holds none of our segments afterwards.
 
 import glob
 import json
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,10 @@ def test_make_backend_specs():
     assert make_backend(inst) is inst
     with pytest.raises(ValueError):
         make_backend("cuda")
+    for bad in ("foo", "threads:abc", "threads:-1", "threads:0",
+                "threads:", "processes:1.5", "serial:2"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            make_backend(bad)
 
 
 def test_threads_backend_close_idempotent():

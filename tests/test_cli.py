@@ -66,6 +66,22 @@ class TestRun:
         with pytest.raises(SystemExit):
             run_cli("run", "apsp")
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("spec", ["foo", "threads:abc", "threads:-1"])
+    def test_bad_backend_is_usage_error(self, command, spec, capsys,
+                                        monkeypatch):
+        # rejected while parsing arguments: no dataset is ever loaded
+        def no_load(name):
+            raise AssertionError(f"dataset {name} loaded")
+
+        monkeypatch.setattr("repro.graph.datasets.load", no_load)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "bfs", "--backend", spec)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "argument --backend: " in err and repr(spec) in err
+
 
 class TestPartition:
     def test_compares_three(self):
